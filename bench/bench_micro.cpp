@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the hot substrate primitives:
 // event queue churn, network delivery, LOT construction/queries, latency
-// histogram recording, and a whole miniature consensus cycle.
+// histogram recording, the replicated KV store, and a whole miniature
+// consensus cycle.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -9,10 +10,12 @@
 
 #include "canopus/lot.h"
 #include "canopus/node.h"
+#include "kv/store.h"
 #include "simnet/event_queue.h"
 #include "simnet/network.h"
 #include "simnet/payload_testing.h"
 #include "simnet/topology.h"
+#include "workload/key_sampler.h"
 #include "workload/stats.h"
 
 namespace {
@@ -146,6 +149,63 @@ void BM_HistogramRecord(benchmark::State& state) {
   benchmark::DoNotOptimize(h.median());
 }
 BENCHMARK(BM_HistogramRecord);
+
+/// A 1M-entry stream of keys over the paper's 1M-key space (§8.1):
+/// uniform, or zipf(0.99) by popularity rank.
+std::vector<std::uint64_t> draw_keys(workload::KeyDist dist) {
+  constexpr std::uint64_t kKeys = 1u << 20;
+  Rng rng(11);
+  const auto zipf = dist == workload::KeyDist::kZipfian
+                        ? workload::ZipfTable::get(kKeys, 0.99)
+                        : nullptr;
+  std::vector<std::uint64_t> keys(kKeys);
+  for (auto& k : keys) k = zipf ? zipf->draw(rng) : rng.below(kKeys);
+  return keys;
+}
+
+const std::vector<std::uint64_t>& key_stream(workload::KeyDist dist) {
+  static const auto uniform = draw_keys(workload::KeyDist::kUniform);
+  static const auto zipfian = draw_keys(workload::KeyDist::kZipfian);
+  return dist == workload::KeyDist::kZipfian ? zipfian : uniform;
+}
+
+/// Committed-write apply into an initially empty store (inserts, table
+/// growth, then overwrites once the stream wraps).
+void BM_StoreApply(benchmark::State& state, workload::KeyDist dist) {
+  const auto& keys = key_stream(dist);
+  kv::Store store;
+  kv::Request w;
+  w.is_write = true;
+  std::size_t i = 0;
+  benchmark::DoNotOptimize(&store);
+  for (auto _ : state) {
+    w.key = keys[i++ & (keys.size() - 1)];
+    w.value = i;
+    store.apply(w);
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(store.size());
+}
+BENCHMARK_CAPTURE(BM_StoreApply, uniform, workload::KeyDist::kUniform);
+BENCHMARK_CAPTURE(BM_StoreApply, zipf, workload::KeyDist::kZipfian);
+
+/// Reads against a store holding every key of the stream.
+void BM_StoreRead(benchmark::State& state, workload::KeyDist dist) {
+  const auto& keys = key_stream(dist);
+  kv::Store store;
+  kv::Request w;
+  w.is_write = true;
+  for (std::uint64_t k : keys) {
+    w.key = k;
+    w.value = k + 1;
+    store.apply(w);
+  }
+  std::size_t i = 0;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(store.read(keys[i++ & (keys.size() - 1)]));
+}
+BENCHMARK_CAPTURE(BM_StoreRead, uniform, workload::KeyDist::kUniform);
+BENCHMARK_CAPTURE(BM_StoreRead, zipf, workload::KeyDist::kZipfian);
 
 /// A full 9-node consensus cycle: submit one write, run to commit.
 void BM_CanopusFullCycle(benchmark::State& state) {

@@ -4,7 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -13,38 +13,122 @@
 namespace canopus::kv {
 
 /// Deterministic snapshot image of a Store: (key, value) pairs sorted by
-/// key, so the image is independent of unordered_map iteration order (and
+/// key, so the image is independent of the table's slot order (and
 /// therefore identical on every replica that holds the same state).
 using StoreImage = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
 
 /// The state machine every replica applies committed writes to.
+///
+/// Layout: one contiguous open-addressing table of {key, value} slots —
+/// power-of-two capacity, linear probing after a murmur3 fmix64 hash,
+/// doubled when an insert would push the load past 7/8. Keys are never
+/// erased, so there are no tombstones. Key kEmpty marks a free slot; that
+/// one key's entry is kept beside the table, so every 2^64 key is storable
+/// and "present with value 0" stays distinct from "absent".
 class Store {
  public:
   void apply(const Request& w) {
-    if (w.is_write) map_[w.key] = w.value;
+    if (w.is_write) put(w.key, w.value);
   }
 
   std::uint64_t read(std::uint64_t key) const {
-    auto it = map_.find(key);
-    return it == map_.end() ? 0 : it->second;
+    if (key == kEmpty) return empty_key_value_.value_or(0);
+    if (slots_.empty()) return 0;
+    const Slot& s = slots_[slot_of(key)];
+    return s.key == key ? s.value : 0;
   }
 
-  std::size_t size() const { return map_.size(); }
+  std::size_t size() const { return used_ + (empty_key_value_ ? 1 : 0); }
 
   StoreImage export_image() const {
-    StoreImage img(map_.begin(), map_.end());
+    StoreImage img;
+    img.reserve(size());
+    for (const Slot& s : slots_)
+      if (s.key != kEmpty) img.emplace_back(s.key, s.value);
     std::sort(img.begin(), img.end());
+    // kEmpty is the largest key, so appending it keeps the image sorted.
+    if (empty_key_value_) img.emplace_back(kEmpty, *empty_key_value_);
     return img;
   }
 
   void restore(const StoreImage& img) {
-    map_.clear();
-    map_.reserve(img.size());
-    for (const auto& [k, v] : img) map_[k] = v;
+    slots_.assign(capacity_for(img.size()), Slot{});
+    used_ = 0;
+    empty_key_value_.reset();
+    for (const auto& [k, v] : img) put(k, v);
   }
 
  private:
-  std::unordered_map<std::uint64_t, std::uint64_t> map_;
+  struct Slot {
+    std::uint64_t key = kEmpty;
+    std::uint64_t value = 0;
+  };
+
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  static constexpr std::size_t kMinCapacity = 16;
+
+  static std::uint64_t hash(std::uint64_t k) {
+    k ^= k >> 33;
+    k *= 0xff51afd7ed558ccdULL;
+    k ^= k >> 33;
+    k *= 0xc4ceb9fe1a85ec53ULL;
+    k ^= k >> 33;
+    return k;
+  }
+
+  /// Smallest power-of-two capacity that holds n keys within 7/8 load.
+  static std::size_t capacity_for(std::size_t n) {
+    std::size_t cap = kMinCapacity;
+    while (n > cap - cap / 8) cap *= 2;
+    return cap;
+  }
+
+  std::size_t mask() const { return slots_.size() - 1; }
+
+  std::size_t max_load() const { return slots_.size() - slots_.size() / 8; }
+
+  void put(std::uint64_t key, std::uint64_t value) {
+    if (key == kEmpty) {
+      empty_key_value_ = value;
+      return;
+    }
+    if (!slots_.empty()) {
+      Slot& s = slots_[slot_of(key)];
+      if (s.key == key) {
+        s.value = value;
+        return;
+      }
+      if (used_ < max_load()) {
+        s = {key, value};
+        ++used_;
+        return;
+      }
+    }
+    grow();
+    slots_[slot_of(key)] = {key, value};
+    ++used_;
+  }
+
+  /// Index of the slot holding `key`, or of the free slot where it belongs.
+  /// The table always keeps at least capacity/8 slots free, so the probe
+  /// terminates.
+  std::size_t slot_of(std::uint64_t key) const {
+    std::size_t i = hash(key) & mask();
+    while (slots_[i].key != key && slots_[i].key != kEmpty)
+      i = (i + 1) & mask();
+    return i;
+  }
+
+  void grow() {
+    std::vector<Slot> old(std::max(kMinCapacity, 2 * slots_.size()));
+    old.swap(slots_);
+    for (const Slot& s : old)
+      if (s.key != kEmpty) slots_[slot_of(s.key)] = s;
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t used_ = 0;  ///< occupied table slots (excludes key kEmpty)
+  std::optional<std::uint64_t> empty_key_value_;  ///< entry of key kEmpty
 };
 
 /// Rolling digest of the committed write sequence. Two replicas that applied

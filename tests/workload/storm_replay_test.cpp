@@ -135,8 +135,8 @@ TEST(StormReplay, ParserRejectsForeignAndTruncatedDocuments) {
 // Regenerates tests/data/canopus_rejoin_storm.json: buries the
 // long-downtime crash/recover pair in gray noise and lets StormMinimizer
 // ddmin it back out under the rejoin oracle. Disabled — run on demand:
-//   workload_storm_replay_test \
-//     --gtest_also_run_disabled_tests --gtest_filter='*Regenerate*'
+//   workload_storm_replay_test --gtest_also_run_disabled_tests
+//     --gtest_filter='*Regenerate*'   (one command line)
 TEST(StormReplay, DISABLED_RegenerateArtifact) {
   const TrialConfig tc = replay_config();
   const double rate = 5'000.0;
