@@ -4,6 +4,7 @@
 // consensus cycle.
 #include <benchmark/benchmark.h>
 
+#include <bit>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -206,6 +207,29 @@ void BM_StoreRead(benchmark::State& state, workload::KeyDist dist) {
 }
 BENCHMARK_CAPTURE(BM_StoreRead, uniform, workload::KeyDist::kUniform);
 BENCHMARK_CAPTURE(BM_StoreRead, zipf, workload::KeyDist::kZipfian);
+
+/// Reads of keys the store does not hold, beside ~80k resident keys of the
+/// 1M-key space: a replica's fill on the lan-canopus benchmark workload,
+/// where most reads miss.
+void BM_StoreReadAbsent(benchmark::State& state) {
+  const auto& keys = key_stream(workload::KeyDist::kUniform);
+  kv::Store store;
+  kv::Request w;
+  w.is_write = true;
+  for (std::size_t i = 0; i < 80'000; ++i) {
+    w.key = keys[i];
+    w.value = keys[i] + 1;
+    store.apply(w);
+  }
+  std::vector<std::uint64_t> absent;
+  for (std::uint64_t k : keys)
+    if (store.read(k) == 0) absent.push_back(k);
+  absent.resize(std::bit_floor(absent.size()));
+  std::size_t i = 0;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(store.read(absent[i++ & (absent.size() - 1)]));
+}
+BENCHMARK(BM_StoreReadAbsent);
 
 /// A full 9-node consensus cycle: submit one write, run to commit.
 void BM_CanopusFullCycle(benchmark::State& state) {

@@ -3,8 +3,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -19,12 +19,15 @@ using StoreImage = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
 
 /// The state machine every replica applies committed writes to.
 ///
-/// Layout: one contiguous open-addressing table of {key, value} slots —
-/// power-of-two capacity, linear probing after a murmur3 fmix64 hash,
-/// doubled when an insert would push the load past 7/8. Keys are never
-/// erased, so there are no tombstones. Key kEmpty marks a free slot; that
-/// one key's entry is kept beside the table, so every 2^64 key is storable
-/// and "present with value 0" stays distinct from "absent".
+/// Layout: an open-addressing table of {key, value} slots plus one control
+/// byte per slot — power-of-two capacity, linear probing after a murmur3
+/// fmix64 hash, doubled when an insert would push the load past 7/8. A
+/// control byte is kFree for a free slot and otherwise the top 7 bits of
+/// the key's hash, so a probe scans the dense byte array and reads a slot
+/// only when its tag matches: a read of an absent key normally reads no
+/// slot, and an insert of a new key writes only the slot it fills. Keys
+/// are never erased, so there are no tombstones, and every 2^64 key is an
+/// ordinary key.
 class Store {
  public:
   void apply(const Request& w) {
@@ -32,39 +35,35 @@ class Store {
   }
 
   std::uint64_t read(std::uint64_t key) const {
-    if (key == kEmpty) return empty_key_value_.value_or(0);
-    if (slots_.empty()) return 0;
-    const Slot& s = slots_[slot_of(key)];
-    return s.key == key ? s.value : 0;
+    if (cap_ == 0) return 0;
+    const std::size_t i = find(key, hash(key));
+    return ctrl()[i] == kFree ? 0 : slots()[i].value;
   }
 
-  std::size_t size() const { return used_ + (empty_key_value_ ? 1 : 0); }
+  std::size_t size() const { return used_; }
 
   StoreImage export_image() const {
     StoreImage img;
-    img.reserve(size());
-    for (const Slot& s : slots_)
-      if (s.key != kEmpty) img.emplace_back(s.key, s.value);
+    img.reserve(used_);
+    for (std::size_t i = 0; i < cap_; ++i)
+      if (ctrl()[i] != kFree)
+        img.emplace_back(slots()[i].key, slots()[i].value);
     std::sort(img.begin(), img.end());
-    // kEmpty is the largest key, so appending it keeps the image sorted.
-    if (empty_key_value_) img.emplace_back(kEmpty, *empty_key_value_);
     return img;
   }
 
   void restore(const StoreImage& img) {
-    slots_.assign(capacity_for(img.size()), Slot{});
-    used_ = 0;
-    empty_key_value_.reset();
+    allocate(capacity_for(img.size()));
     for (const auto& [k, v] : img) put(k, v);
   }
 
  private:
   struct Slot {
-    std::uint64_t key = kEmpty;
-    std::uint64_t value = 0;
+    std::uint64_t key;
+    std::uint64_t value;
   };
 
-  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  static constexpr std::uint8_t kFree = 0x80;
   static constexpr std::size_t kMinCapacity = 16;
 
   static std::uint64_t hash(std::uint64_t k) {
@@ -76,6 +75,12 @@ class Store {
     return k;
   }
 
+  /// Control byte of an occupied slot: the hash's top 7 bits (the home slot
+  /// comes from its low bits).
+  static std::uint8_t tag(std::uint64_t h) {
+    return static_cast<std::uint8_t>(h >> 57);
+  }
+
   /// Smallest power-of-two capacity that holds n keys within 7/8 load.
   static std::size_t capacity_for(std::size_t n) {
     std::size_t cap = kMinCapacity;
@@ -83,52 +88,92 @@ class Store {
     return cap;
   }
 
-  std::size_t mask() const { return slots_.size() - 1; }
+  std::size_t mask() const { return cap_ - 1; }
 
-  std::size_t max_load() const { return slots_.size() - slots_.size() / 8; }
+  std::size_t max_load() const { return cap_ - cap_ / 8; }
+
+  /// The first cap/sizeof(Slot) slots of the block hold the control bytes.
+  std::uint8_t* ctrl() const {
+    return reinterpret_cast<std::uint8_t*>(block_.get());
+  }
+  Slot* slots() const { return block_.get() + cap_ / sizeof(Slot); }
 
   void put(std::uint64_t key, std::uint64_t value) {
-    if (key == kEmpty) {
-      empty_key_value_ = value;
-      return;
-    }
-    if (!slots_.empty()) {
-      Slot& s = slots_[slot_of(key)];
-      if (s.key == key) {
-        s.value = value;
+    const std::uint64_t h = hash(key);
+    if (cap_ != 0) {
+      const std::size_t i = find(key, h);
+      if (ctrl()[i] != kFree) {
+        slots()[i].value = value;
         return;
       }
       if (used_ < max_load()) {
-        s = {key, value};
-        ++used_;
+        insert_at(i, h, key, value);
         return;
       }
     }
     grow();
-    slots_[slot_of(key)] = {key, value};
+    insert_at(find_free(h), h, key, value);
+  }
+
+  void insert_at(std::size_t i, std::uint64_t h, std::uint64_t key,
+                 std::uint64_t value) {
+    ctrl()[i] = tag(h);
+    slots()[i] = {key, value};
     ++used_;
   }
 
   /// Index of the slot holding `key`, or of the free slot where it belongs.
   /// The table always keeps at least capacity/8 slots free, so the probe
   /// terminates.
-  std::size_t slot_of(std::uint64_t key) const {
-    std::size_t i = hash(key) & mask();
-    while (slots_[i].key != key && slots_[i].key != kEmpty)
-      i = (i + 1) & mask();
+  std::size_t find(std::uint64_t key, std::uint64_t h) const {
+    const std::uint8_t t = tag(h);
+    const std::uint8_t* c = ctrl();
+    std::size_t i = h & mask();
+    for (;; i = (i + 1) & mask()) {
+      if (c[i] == t) {
+        if (slots()[i].key == key) return i;
+      } else if (c[i] == kFree) {
+        return i;
+      }
+    }
+  }
+
+  /// First free slot of the probe sequence of hash `h`.
+  std::size_t find_free(std::uint64_t h) const {
+    std::size_t i = h & mask();
+    while (ctrl()[i] != kFree) i = (i + 1) & mask();
     return i;
   }
 
-  void grow() {
-    std::vector<Slot> old(std::max(kMinCapacity, 2 * slots_.size()));
-    old.swap(slots_);
-    for (const Slot& s : old)
-      if (s.key != kEmpty) slots_[slot_of(s.key)] = s;
+  /// Replaces the table with an empty one of `cap` slots in one allocation.
+  /// Only the control bytes are initialized; a slot is written before its
+  /// control byte marks it occupied.
+  void allocate(std::size_t cap) {
+    block_ = std::make_unique_for_overwrite<Slot[]>(cap + cap / sizeof(Slot));
+    cap_ = cap;
+    used_ = 0;
+    std::memset(ctrl(), kFree, cap);
   }
 
-  std::vector<Slot> slots_;
-  std::size_t used_ = 0;  ///< occupied table slots (excludes key kEmpty)
-  std::optional<std::uint64_t> empty_key_value_;  ///< entry of key kEmpty
+  void grow() {
+    const std::unique_ptr<Slot[]> old = std::move(block_);
+    const std::size_t old_cap = cap_;
+    const std::size_t used = used_;
+    const auto* old_ctrl = reinterpret_cast<const std::uint8_t*>(old.get());
+    const Slot* old_slots = old.get() + old_cap / sizeof(Slot);
+    allocate(std::max(kMinCapacity, 2 * old_cap));
+    for (std::size_t i = 0; i < old_cap; ++i) {
+      if (old_ctrl[i] == kFree) continue;
+      const std::size_t j = find_free(hash(old_slots[i].key));
+      ctrl()[j] = old_ctrl[i];
+      slots()[j] = old_slots[i];
+    }
+    used_ = used;
+  }
+
+  std::unique_ptr<Slot[]> block_;  ///< control bytes, then the slots
+  std::size_t cap_ = 0;            ///< slots (a power of two, or 0)
+  std::size_t used_ = 0;           ///< occupied slots
 };
 
 /// Rolling digest of the committed write sequence. Two replicas that applied

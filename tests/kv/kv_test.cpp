@@ -193,6 +193,69 @@ TEST(Store, ExportRestoreRoundTrip) {
   EXPECT_TRUE(used.export_image().empty());
 }
 
+/// murmur3 fmix64, the hash Store probes with: its low bits pick the home
+/// slot and its top 7 bits are the slot's control-byte tag.
+std::uint64_t store_hash(std::uint64_t k) {
+  k ^= k >> 33;
+  k *= 0xff51afd7ed558ccdULL;
+  k ^= k >> 33;
+  k *= 0xc4ceb9fe1a85ec53ULL;
+  k ^= k >> 33;
+  return k;
+}
+
+TEST(Store, KeysSharingHomeSlotAndTagStayDistinct) {
+  // Keys whose hashes agree in the low 6 bits and the top 7 share both
+  // their home slot and their tag in a 16-, 32- and 64-slot table, so only
+  // the key comparison behind a tag match tells them apart. Half are
+  // written, half only read (absent keys that match a resident tag).
+  const auto same_slot_and_tag = [](std::uint64_t a, std::uint64_t b) {
+    const std::uint64_t ha = store_hash(a), hb = store_hash(b);
+    return (ha & 63) == (hb & 63) && (ha >> 57) == (hb >> 57);
+  };
+  std::vector<std::uint64_t> twins = {12345};
+  for (std::uint64_t k = 0; twins.size() < 16; ++k)
+    if (k != twins[0] && same_slot_and_tag(k, twins[0])) twins.push_back(k);
+  const std::vector<std::uint64_t> written(twins.begin(), twins.begin() + 8);
+  const std::vector<std::uint64_t> absent(twins.begin() + 8, twins.end());
+
+  Store s;
+  std::map<std::uint64_t, std::uint64_t> model;
+  const auto check = [&](const Store& st) {
+    expect_matches(st, model);
+    for (const std::uint64_t k : absent) ASSERT_EQ(st.read(k), 0u) << k;
+  };
+  // Each twin goes in beside filler keys, so the run of twins spans the
+  // 16 -> 32 -> 64 growth boundaries; the store is checked after each.
+  Rng rng(14);
+  for (std::size_t i = 0; i < written.size(); ++i) {
+    s.apply(write_of(written[i], i + 1));
+    model[written[i]] = i + 1;
+    check(s);
+    for (int f = 0; f < 4; ++f) {
+      const std::uint64_t key = rng();
+      s.apply(write_of(key, key / 2));
+      model[key] = key / 2;
+      check(s);
+    }
+    // Overwrite an earlier twin: the update must land on its own slot.
+    s.apply(write_of(written[i / 2], 100 + i));
+    model[written[i / 2]] = 100 + i;
+    check(s);
+  }
+  ASSERT_GT(model.size(), 28u) << "the 32-slot boundary was not crossed";
+
+  // A restored table lays the twins out again from the sorted image.
+  Store restored;
+  restored.restore(s.export_image());
+  check(restored);
+  for (std::size_t i = 0; i < written.size(); ++i) {
+    restored.apply(write_of(written[i], ~std::uint64_t{i}));
+    model[written[i]] = ~std::uint64_t{i};
+    check(restored);
+  }
+}
+
 TEST(StoreAllocation, InsertsAllocateLogarithmicallyThenNothing) {
   // 14 and 1792 fill a 16- and a 2048-slot table exactly to its 7/8 load.
   for (const std::uint64_t n : {14u, 1000u, 1792u, 100000u}) {

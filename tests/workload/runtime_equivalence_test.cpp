@@ -97,6 +97,13 @@ void expect_snapshot_catchup_threads(System sys) {
   const std::size_t victim = n - 1;
   std::vector<std::atomic<std::uint64_t>> committed(n);
   std::atomic<bool> victim_snapshot{false};
+  // A failed ASSERT returns early. The node threads use `committed`,
+  // `victim_snapshot` and the service, so stop (join) them before any of
+  // those is destroyed, on every exit path. stop() is idempotent.
+  struct StopOnExit {
+    runtime::ThreadedRuntime& rt;
+    ~StopOnExit() { rt.stop(); }
+  } stop_on_exit{rt};
   service->on_commit = [&](std::size_t i, std::uint64_t,
                            const std::vector<kv::Request>& batch) {
     committed[i].fetch_add(batch.size(), std::memory_order_relaxed);
