@@ -19,9 +19,16 @@ enum class MsgType {
   kInstallSnapshot,
   /// Not part of Raft proper: sent by the reliable-broadcast layer when it
   /// receives traffic for a group it has already dissolved (§4.3 "all the
-  /// nodes leave that group"). Tells stragglers to finish applying their
-  /// local log for the group and dissolve it too.
+  /// nodes leave that group"). Anchored like an AppendEntries at the
+  /// dissolver's commit index (prev_log_index/prev_log_term, leader_commit)
+  /// and carrying any committed entries the straggler asked for: the
+  /// straggler applies the group's committed log through that index and
+  /// dissolves it too. `success` marks a reply to kDissolvedTailRequest.
   kGroupDissolved,
+  /// Straggler -> dissolver: our log does not match a kGroupDissolved
+  /// anchor; send the committed entries after our commit index
+  /// (leader_commit).
+  kDissolvedTailRequest,
 };
 
 struct WireMsg {

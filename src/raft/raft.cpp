@@ -252,6 +252,7 @@ void RaftNode::on_message(NodeId src, const WireMsg& m) {
       handle_install_snapshot(src, m);
       break;
     case MsgType::kGroupDissolved:
+    case MsgType::kDissolvedTailRequest:
       break;  // handled by the layer above (rbcast)
   }
 }
@@ -302,13 +303,7 @@ void RaftNode::handle_append_entries(NodeId src, const WireMsg& m) {
   last_leader_contact_ = sim_.now();
   reset_election_timer();
 
-  // Consistency check. An anchor inside our compacted prefix is consistent
-  // by construction: everything at or below the base was committed and
-  // covered by the installed snapshot (Log Matching makes re-checking it
-  // unnecessary — and impossible, the terms are gone).
-  if (m.prev_log_index > log_.last_index() ||
-      (m.prev_log_index >= log_.base_index() &&
-       log_.term_at(m.prev_log_index) != m.prev_log_term)) {
+  if (!log_matches(m.prev_log_index, m.prev_log_term)) {
     // Hint the leader with our last index so backoff jumps straight to the
     // end of our log instead of spiralling one entry per round trip — the
     // difference between O(1) and O(log-length) round trips when a fresh
@@ -317,7 +312,24 @@ void RaftNode::handle_append_entries(NodeId src, const WireMsg& m) {
     cb_.send(src, reply);
     return;
   }
+  append_verified(m);
 
+  reply.success = true;
+  reply.match_index = m.prev_log_index + m.entries.size();
+  cb_.send(src, reply);
+}
+
+bool RaftNode::log_matches(LogIndex prev_index, Term prev_term) const {
+  // An anchor inside our compacted prefix is consistent by construction:
+  // everything at or below the base was committed and covered by the
+  // installed snapshot (Log Matching makes re-checking it unnecessary —
+  // and impossible, the terms are gone).
+  return prev_index <= log_.last_index() &&
+         (prev_index < log_.base_index() ||
+          log_.term_at(prev_index) == prev_term);
+}
+
+void RaftNode::append_verified(const WireMsg& m) {
   // Append/repair: drop conflicting suffix, append new entries. Entries at
   // or below the compaction base are already covered by installed state.
   LogIndex idx = m.prev_log_index;
@@ -343,10 +355,6 @@ void RaftNode::handle_append_entries(NodeId src, const WireMsg& m) {
     commit_ = std::max(commit_, std::min(m.leader_commit, verified));
     apply_committed();
   }
-
-  reply.success = true;
-  reply.match_index = m.prev_log_index + m.entries.size();
-  cb_.send(src, reply);
 }
 
 void RaftNode::handle_append_reply(NodeId src, const WireMsg& m) {
@@ -485,11 +493,32 @@ void RaftNode::add_member(NodeId peer) {
   last_repair_.push_back(0);
 }
 
-void RaftNode::force_commit_all() {
-  if (log_.last_index() > commit_) {
-    commit_ = log_.last_index();
-    apply_committed();
+WireMsg RaftNode::dissolution_notice(LogIndex from, bool reply) const {
+  WireMsg m;
+  m.group = group_;
+  m.type = MsgType::kGroupDissolved;
+  m.term = term_;
+  m.success = reply;
+  m.prev_log_index = std::max(std::min(from, commit_), log_.base_index());
+  m.prev_log_term = log_.term_at(m.prev_log_index);
+  m.leader_commit = commit_;
+  for (LogIndex i = m.prev_log_index + 1; i <= commit_; ++i)
+    m.entries.push_back(log_.at(i));
+  return m;
+}
+
+bool RaftNode::finish_dissolved(const WireMsg& notice) {
+  if (!log_matches(notice.prev_log_index, notice.prev_log_term)) {
+    if (!notice.success) return false;
+    // The reply still misses us: it anchors at the dissolver's compaction
+    // base, past our commit index. Skip to the anchor the way
+    // handle_install_snapshot skips to a live leader's (empty) snapshot.
+    log_.reset_to_snapshot(notice.prev_log_index, notice.prev_log_term);
+    commit_ = notice.prev_log_index;
+    applied_ = notice.prev_log_index;
   }
+  append_verified(notice);
+  return true;
 }
 
 void RaftNode::advance_commit() {

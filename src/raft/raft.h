@@ -119,11 +119,22 @@ class RaftNode {
   /// follower's log is repaired by the ordinary AppendEntries backoff.
   void add_member(NodeId peer);
 
-  /// Applies every entry in the local log. Only safe when an external
-  /// signal guarantees the whole log is committed — the reliable-broadcast
-  /// layer uses this on dissolution gossip, where the dissolver's no-op
-  /// commit implies this node's log (which acked it) is complete.
-  void force_commit_all();
+  /// Dissolved-group hand-off (the reliable-broadcast layer, §4.3). A
+  /// member that dissolved this group answers a straggler's traffic with
+  /// this notice: a kGroupDissolved anchored at our commit index, carrying
+  /// the committed entries after `from` (none when `from` is at or past
+  /// the commit index). `reply` marks the answer to a straggler's
+  /// kDissolvedTailRequest.
+  WireMsg dissolution_notice(LogIndex from, bool reply) const;
+
+  /// Straggler side: adopts a dissolver's committed log through the
+  /// notice's commit index, as an AppendEntries from it would, and applies
+  /// it (the election no-op among it surfaces via on_noop_commit). Returns
+  /// false if our log does not match at the anchor: we miss committed
+  /// entries, and the caller asks for them from our commit index. A reply
+  /// that still does not match anchors at the dissolver's compaction base;
+  /// we skip to it, as an InstallSnapshot of the group would.
+  bool finish_dissolved(const WireMsg& notice);
 
   // --- observers -------------------------------------------------------
   Role role() const { return role_; }
@@ -162,6 +173,12 @@ class RaftNode {
   void notify_commit(NodeId peer);
   void advance_commit();
   void apply_committed();
+  /// AppendEntries consistency check: our log holds (prev_index,
+  /// prev_term), or the anchor lies inside our compacted prefix.
+  bool log_matches(LogIndex prev_index, Term prev_term) const;
+  /// Appends `m.entries` after a passed consistency check and advances the
+  /// commit index over the prefix it verified.
+  void append_verified(const WireMsg& m);
   std::size_t quorum() const { return members_.size() / 2 + 1; }
 
   void handle_request_vote(NodeId src, const WireMsg& m);

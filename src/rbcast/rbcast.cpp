@@ -75,24 +75,33 @@ void ReliableBroadcast::on_message(NodeId src, const raft::WireMsg& m) {
   if (!started_) return;
 
   if (m.type == raft::MsgType::kGroupDissolved) {
-    // A peer already dissolved this group. Its no-op commit implies our
-    // local log for the group is complete (we acked every committed entry),
-    // so drain it; the surfaced no-op triggers the normal failure upcall.
+    // A peer already dissolved this group. Apply the group's committed log
+    // through the peer's commit index; the election no-op among it
+    // triggers the normal failure upcall. We may not hold that log: the
+    // no-op can commit on a quorum that excludes us (we were campaigning
+    // in a later term, say), so ask the peer for the entries we miss.
     auto it = groups_.find(m.group);
-    if (it != groups_.end() && !dissolved_.contains(m.group))
-      it->second->force_commit_all();
+    if (it != groups_.end() && !dissolved_.contains(m.group) &&
+        !it->second->finish_dissolved(m)) {
+      raft::WireMsg req;
+      req.group = m.group;
+      req.type = raft::MsgType::kDissolvedTailRequest;
+      req.leader_commit = it->second->commit_index();
+      cb_.send(src, req);
+    }
     return;
   }
 
   auto it = groups_.find(m.group);
   if (it == groups_.end()) {
-    if (dissolved_.contains(m.group)) {
-      // Straggler traffic for a group we dissolved: gossip the dissolution
-      // so the sender can finish and stop electioneering.
-      raft::WireMsg reply;
-      reply.group = m.group;
-      reply.type = raft::MsgType::kGroupDissolved;
-      cb_.send(src, reply);
+    // Straggler traffic for a group we dissolved: gossip the dissolution,
+    // with the committed entries it asked for, so the sender can finish
+    // and stop electioneering.
+    if (auto r = retired_.find(m.group); r != retired_.end()) {
+      const bool asked = m.type == raft::MsgType::kDissolvedTailRequest;
+      const raft::RaftNode& g = *r->second;
+      cb_.send(src, g.dissolution_notice(
+                        asked ? m.leader_commit : g.commit_index(), asked));
     }
     return;
   }
@@ -110,6 +119,7 @@ void ReliableBroadcast::remove_member(NodeId peer) {
   dissolved_.insert(peer);
   if (auto it = groups_.find(peer); it != groups_.end()) {
     it->second->stop();
+    retired_[peer] = std::move(it->second);
     groups_.erase(it);
   }
   // Shrink every surviving group's membership (single-server change applied
@@ -121,6 +131,7 @@ void ReliableBroadcast::add_member(NodeId peer) {
   if (is_member(peer)) return;
   members_.push_back(peer);
   dissolved_.erase(peer);
+  retired_.erase(peer);
   for (auto& [origin, node] : groups_) node->add_member(peer);
   // Create the joiner's own broadcast group on this node.
   if (!groups_.contains(peer)) {

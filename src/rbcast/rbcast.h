@@ -91,6 +91,9 @@ class ReliableBroadcast final : public Broadcast {
   /// One Raft group per member, keyed by the member (== group id).
   std::unordered_map<raft::GroupId, std::unique_ptr<raft::RaftNode>> groups_;
   std::unordered_set<raft::GroupId> dissolved_;
+  /// Dissolved groups, stopped but kept: their committed logs answer
+  /// stragglers that missed the election no-op (see on_message).
+  std::unordered_map<raft::GroupId, std::unique_ptr<raft::RaftNode>> retired_;
   bool started_ = false;
 };
 

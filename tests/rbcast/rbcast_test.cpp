@@ -177,5 +177,136 @@ TEST_F(RbcastTest, IsMemberReflectsMembership) {
   EXPECT_FALSE(hosts_[0]->rb->is_member(cluster_.servers[1]));
 }
 
+// Dissolution hand-off: five groups over a hand-pumped message bus, so a
+// test can drop one group's traffic to one member and leave everything
+// else running. Node 4 (the origin) crashes; node 1 is cut off from group
+// 4 while the survivors elect a replacement leader, commit its no-op and
+// dissolve the group. Node 1 then never holds the no-op in its own log.
+class Dissolution : public ::testing::Test {
+ protected:
+  static constexpr NodeId kOrigin = 4;
+  static constexpr NodeId kStraggler = 1;
+
+  struct Host {
+    std::unique_ptr<ReliableBroadcast> rb;
+    std::vector<std::string> from_origin;  ///< kOrigin's deliveries
+    std::vector<NodeId> failures;
+  };
+  struct Wire {
+    NodeId src, dst;
+    raft::WireMsg msg;
+  };
+
+  void SetUp() override {
+    const std::vector<NodeId> members = {0, 1, 2, 3, 4};
+    for (NodeId self : members) {
+      auto h = std::make_unique<Host>();
+      Host* hp = h.get();
+      ReliableBroadcast::Callbacks cb;
+      cb.send = [this, self](NodeId dst, const raft::WireMsg& m) {
+        wires_.push_back({self, dst, m});
+      };
+      cb.deliver = [hp](NodeId origin, const simnet::Payload& payload) {
+        if (origin == kOrigin)
+          hp->from_origin.push_back(testutil::text(payload));
+      };
+      // What Canopus does on the upcall: drop the member (dissolving and
+      // archiving its group).
+      cb.on_peer_failed = [hp](NodeId failed) {
+        hp->failures.push_back(failed);
+        hp->rb->remove_member(failed);
+      };
+      h->rb = std::make_unique<ReliableBroadcast>(self, members, sim_,
+                                                  std::move(cb));
+      hosts_.push_back(std::move(h));
+    }
+    for (auto& h : hosts_) h->rb->start();
+  }
+
+  /// Runs the clock for `span` in 1 ms steps, delivering every message
+  /// (and its consequences) after each step. A crashed origin neither
+  /// sends nor receives; `isolate` drops group-kOrigin traffic between
+  /// kStraggler and everyone else.
+  void run(Time span) {
+    const Time end = sim_.now() + span;
+    while (sim_.now() < end) {
+      sim_.run_until(sim_.now() + kMillisecond);
+      while (!wires_.empty()) {
+        std::vector<Wire> batch;
+        batch.swap(wires_);
+        for (const Wire& w : batch) {
+          if (crashed_ && (w.src == kOrigin || w.dst == kOrigin)) continue;
+          if (isolate && w.msg.group == kOrigin &&
+              (w.src == kStraggler || w.dst == kStraggler))
+            continue;
+          if (drop_append_to_others && w.msg.group == kOrigin &&
+              w.msg.type == raft::MsgType::kAppendEntries &&
+              w.dst != kStraggler)
+            continue;
+          hosts_[w.dst]->rb->on_message(w.src, w.msg);
+        }
+      }
+    }
+  }
+
+  void crash_origin() {
+    crashed_ = true;
+    hosts_[kOrigin]->rb->stop();
+  }
+
+  bool survivors_dissolved() const {
+    for (NodeId n : {0, 2, 3})
+      if (hosts_[n]->rb->is_member(kOrigin)) return false;
+    return true;
+  }
+
+  Simulator sim_{42};
+  std::vector<std::unique_ptr<Host>> hosts_;
+  std::vector<Wire> wires_;
+  bool crashed_ = false;
+  bool isolate = false;
+  bool drop_append_to_others = false;
+};
+
+TEST_F(Dissolution, StragglerThatMissedTheNoopDetectsTheFailure) {
+  run(10 * kMillisecond);
+  hosts_[kOrigin]->rb->broadcast(std::string("a"), 1);
+  run(10 * kMillisecond);
+  crash_origin();
+  isolate = true;
+  run(2 * kSecond);
+  ASSERT_TRUE(survivors_dissolved());
+  ASSERT_TRUE(hosts_[kStraggler]->failures.empty());
+
+  isolate = false;
+  run(2 * kSecond);
+  ASSERT_EQ(hosts_[kStraggler]->failures, std::vector<NodeId>{kOrigin});
+  EXPECT_FALSE(hosts_[kStraggler]->rb->is_member(kOrigin));
+  for (NodeId n : {0, 1, 2, 3})
+    EXPECT_EQ(hosts_[n]->from_origin, std::vector<std::string>{"a"}) << n;
+}
+
+TEST_F(Dissolution, StragglerDropsItsUncommittedTail) {
+  run(10 * kMillisecond);
+  hosts_[kOrigin]->rb->broadcast(std::string("a"), 1);
+  run(10 * kMillisecond);
+  // "b" reaches only the straggler's log: never committed, and the
+  // replacement leader's no-op takes its index on every survivor.
+  drop_append_to_others = true;
+  hosts_[kOrigin]->rb->broadcast(std::string("b"), 1);
+  run(kMillisecond);
+  drop_append_to_others = false;
+  crash_origin();
+  isolate = true;
+  run(2 * kSecond);
+  ASSERT_TRUE(survivors_dissolved());
+
+  isolate = false;
+  run(2 * kSecond);
+  ASSERT_EQ(hosts_[kStraggler]->failures, std::vector<NodeId>{kOrigin});
+  for (NodeId n : {0, 1, 2, 3})
+    EXPECT_EQ(hosts_[n]->from_origin, std::vector<std::string>{"a"}) << n;
+}
+
 }  // namespace
 }  // namespace canopus::rbcast

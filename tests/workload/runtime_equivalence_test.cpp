@@ -97,18 +97,33 @@ void expect_snapshot_catchup_threads(System sys) {
   const std::size_t victim = n - 1;
   std::vector<std::atomic<std::uint64_t>> committed(n);
   std::atomic<bool> victim_snapshot{false};
+  // The post-recovery writes (keys kFreshKey.. kFreshKey + kFresh - 1)
+  // each server holds, as a bitmask: applied through on_commit or covered
+  // by an installed snapshot image. `committed` alone cannot show that the
+  // victim caught up: its count already includes the initial writes.
+  constexpr std::uint64_t kFreshKey = 500;
+  constexpr std::uint64_t kFresh = 4;
+  constexpr std::uint32_t kAllFresh = (1u << kFresh) - 1;
+  std::vector<std::atomic<std::uint32_t>> fresh(n);
+  const auto note_fresh = [&](std::size_t i, std::uint64_t key) {
+    if (key >= kFreshKey && key < kFreshKey + kFresh)
+      fresh[i].fetch_or(1u << (key - kFreshKey), std::memory_order_relaxed);
+  };
   // A failed ASSERT returns early. The node threads use `committed`,
-  // `victim_snapshot` and the service, so stop (join) them before any of
-  // those is destroyed, on every exit path. stop() is idempotent.
+  // `victim_snapshot`, `fresh` and the service, so stop (join) them before
+  // any of those is destroyed, on every exit path. stop() is idempotent.
   struct StopOnExit {
     runtime::ThreadedRuntime& rt;
     ~StopOnExit() { rt.stop(); }
   } stop_on_exit{rt};
   service->on_commit = [&](std::size_t i, std::uint64_t,
                            const std::vector<kv::Request>& batch) {
+    for (const kv::Request& w : batch) note_fresh(i, w.key);
     committed[i].fetch_add(batch.size(), std::memory_order_relaxed);
   };
-  service->on_snapshot_install = [&](std::size_t i, const kv::Snapshot&) {
+  service->on_snapshot_install = [&](std::size_t i, const kv::Snapshot& s) {
+    if (s.image)
+      for (const auto& [key, value] : *s.image) note_fresh(i, key);
     if (i == victim) victim_snapshot.store(true, std::memory_order_relaxed);
   };
 
@@ -162,11 +177,12 @@ void expect_snapshot_catchup_threads(System sys) {
   })) << "recovered node never installed a catch-up snapshot";
 
   // Post-snapshot, the victim rides normal replication again.
-  submit_writes(500, 4);
+  submit_writes(kFreshKey, kFresh);
   ASSERT_TRUE(wait_for([&] {
     for (std::size_t i = 0; i < n; ++i)
       if (committed[i].load(std::memory_order_relaxed) <
-          (i == victim ? 4u : 52u))
+              (i == victim ? 4u : 52u) ||
+          fresh[i].load(std::memory_order_relaxed) != kAllFresh)
         return false;
     return true;
   })) << "post-recovery writes did not reach every server";
