@@ -2,15 +2,14 @@
 """Check that a figure bench's results do not depend on --threads or --sim-threads.
 
 Usage: check_bit_identical.py BENCH DEFAULT.json SERIAL.json PDES.json
-                              [--require-sim-threads]
 
 BENCH names the bench in the messages (e.g. bench_shard). DEFAULT.json is a
 run with the default trial pool, SERIAL.json one with --threads=1 and
 PDES.json one with --sim-threads=2. Wall-clock and machine-dependent perf
 fields are the only legitimate differences: each must be present in all
 three files and is dropped. Then DEFAULT must equal SERIAL, and DEFAULT
-must equal PDES once `sim_threads` is dropped from both. With
---require-sim-threads, DEFAULT and PDES must each have that field.
+must equal PDES once `sim_threads`, which both must have, is dropped from
+both.
 
 Prints "bit-identical" and exits 0 on success; exits 1 with a message on
 any difference, missing field or unreadable file.
@@ -35,20 +34,17 @@ def load(path):
         fail(f"{path}: cannot read: {e}")
 
 
-def drop(doc, field, path, required=True):
-    if field in doc:
-        del doc[field]
-    elif required:
+def drop(doc, field, path):
+    if field not in doc:
         fail(f"{path}: missing field '{field}'")
+    del doc[field]
 
 
 def main(argv):
-    args = [a for a in argv if a != '--require-sim-threads']
-    require_sim_threads = len(args) != len(argv)
-    if len(args) != 4:
+    if len(argv) != 4:
         fail("usage: check_bit_identical.py BENCH DEFAULT.json SERIAL.json "
-             "PDES.json [--require-sim-threads]")
-    bench, paths = args[0], args[1:]
+             "PDES.json")
+    bench, paths = argv[0], argv[1:]
     default, serial, pdes = docs = [load(p) for p in paths]
     for doc, path in zip(docs, paths):
         for field in PERF_FIELDS:
@@ -56,7 +52,7 @@ def main(argv):
     if default != serial:
         fail(f"{bench} output depends on --threads")
     for doc, path in ((default, paths[0]), (pdes, paths[2])):
-        drop(doc, 'sim_threads', path, required=require_sim_threads)
+        drop(doc, 'sim_threads', path)
     if default != pdes:
         fail(f"{bench} output depends on --sim-threads")
     print("bit-identical")

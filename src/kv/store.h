@@ -53,7 +53,7 @@ class Store {
   }
 
   void restore(const StoreImage& img) {
-    allocate(capacity_for(img.size()));
+    reset(capacity_for(img.size()));
     for (const auto& [k, v] : img) put(k, v);
   }
 
@@ -145,12 +145,16 @@ class Store {
     return i;
   }
 
-  /// Replaces the table with an empty one of `cap` slots in one allocation.
-  /// Only the control bytes are initialized; a slot is written before its
-  /// control byte marks it occupied.
-  void allocate(std::size_t cap) {
-    block_ = std::make_unique_for_overwrite<Slot[]>(cap + cap / sizeof(Slot));
-    cap_ = cap;
+  /// Empties the table and sizes it to `cap` slots. The block is kept when
+  /// it already has that capacity (a replica restoring a snapshot of its own
+  /// size) and replaced in one allocation otherwise. Only the control bytes
+  /// are initialized; a slot is written before its control byte marks it
+  /// occupied.
+  void reset(std::size_t cap) {
+    if (cap != cap_) {
+      block_ = std::make_unique_for_overwrite<Slot[]>(cap + cap / sizeof(Slot));
+      cap_ = cap;
+    }
     used_ = 0;
     std::memset(ctrl(), kFree, cap);
   }
@@ -161,7 +165,7 @@ class Store {
     const std::size_t used = used_;
     const auto* old_ctrl = reinterpret_cast<const std::uint8_t*>(old.get());
     const Slot* old_slots = old.get() + old_cap / sizeof(Slot);
-    allocate(std::max(kMinCapacity, 2 * old_cap));
+    reset(std::max(kMinCapacity, 2 * old_cap));
     for (std::size_t i = 0; i < old_cap; ++i) {
       if (old_ctrl[i] == kFree) continue;
       const std::size_t j = find_free(hash(old_slots[i].key));

@@ -426,8 +426,17 @@ void RaftNode::handle_install_snapshot(NodeId src, const WireMsg& m) {
     cb_.send(src, reply);
     return;
   }
-  // Adopt the snapshot: it covers everything up to s, including any
+  adopt_snapshot(m);
+
+  reply.success = true;
+  reply.match_index = s;
+  cb_.send(src, reply);
+}
+
+void RaftNode::adopt_snapshot(const WireMsg& m) {
+  // The snapshot covers everything up to its index, including any
   // uncommitted local tail (which a quorum never acked — safe to drop).
+  const LogIndex s = m.prev_log_index;
   log_.reset_to_snapshot(s, m.prev_log_term);
   commit_ = s;
   applied_ = s;
@@ -437,10 +446,6 @@ void RaftNode::handle_install_snapshot(NodeId src, const WireMsg& m) {
   snap_bytes_ = m.snapshot_bytes;
   ++snapshots_installed_;
   if (cb_.install_snapshot) cb_.install_snapshot(s, m.snapshot);
-
-  reply.success = true;
-  reply.match_index = s;
-  cb_.send(src, reply);
 }
 
 void RaftNode::maybe_compact() {
@@ -499,9 +504,18 @@ WireMsg RaftNode::dissolution_notice(LogIndex from, bool reply) const {
   m.type = MsgType::kGroupDissolved;
   m.term = term_;
   m.success = reply;
-  m.prev_log_index = std::max(std::min(from, commit_), log_.base_index());
-  m.prev_log_term = log_.term_at(m.prev_log_index);
   m.leader_commit = commit_;
+  if (from < log_.base_index()) {
+    // The entries after `from` are compacted: anchor at our snapshot and
+    // ship it, as send_install_snapshot does for a live follower.
+    m.prev_log_index = snap_index_;
+    m.prev_log_term = snap_term_;
+    m.snapshot = snap_payload_;
+    m.snapshot_bytes = snap_bytes_;
+  } else {
+    m.prev_log_index = std::min(from, commit_);
+    m.prev_log_term = log_.term_at(m.prev_log_index);
+  }
   for (LogIndex i = m.prev_log_index + 1; i <= commit_; ++i)
     m.entries.push_back(log_.at(i));
   return m;
@@ -510,12 +524,9 @@ WireMsg RaftNode::dissolution_notice(LogIndex from, bool reply) const {
 bool RaftNode::finish_dissolved(const WireMsg& notice) {
   if (!log_matches(notice.prev_log_index, notice.prev_log_term)) {
     if (!notice.success) return false;
-    // The reply still misses us: it anchors at the dissolver's compaction
-    // base, past our commit index. Skip to the anchor the way
-    // handle_install_snapshot skips to a live leader's (empty) snapshot.
-    log_.reset_to_snapshot(notice.prev_log_index, notice.prev_log_term);
-    commit_ = notice.prev_log_index;
-    applied_ = notice.prev_log_index;
+    // A reply that still misses us anchors at the dissolver's snapshot,
+    // past our log: install it as a live leader's InstallSnapshot.
+    adopt_snapshot(notice);
   }
   append_verified(notice);
   return true;

@@ -121,10 +121,11 @@ class RaftNode {
 
   /// Dissolved-group hand-off (the reliable-broadcast layer, §4.3). A
   /// member that dissolved this group answers a straggler's traffic with
-  /// this notice: a kGroupDissolved anchored at our commit index, carrying
-  /// the committed entries after `from` (none when `from` is at or past
-  /// the commit index). `reply` marks the answer to a straggler's
-  /// kDissolvedTailRequest.
+  /// this notice: a kGroupDissolved carrying the committed entries after
+  /// `from` (none when `from` is at or past our commit index), anchored
+  /// there. When those entries are compacted it anchors at our snapshot
+  /// and carries it instead, like an InstallSnapshot. `reply` marks the
+  /// answer to a straggler's kDissolvedTailRequest.
   WireMsg dissolution_notice(LogIndex from, bool reply) const;
 
   /// Straggler side: adopts a dissolver's committed log through the
@@ -132,8 +133,8 @@ class RaftNode {
   /// it (the election no-op among it surfaces via on_noop_commit). Returns
   /// false if our log does not match at the anchor: we miss committed
   /// entries, and the caller asks for them from our commit index. A reply
-  /// that still does not match anchors at the dissolver's compaction base;
-  /// we skip to it, as an InstallSnapshot of the group would.
+  /// that still does not match anchors at the dissolver's snapshot, which
+  /// we install first, as a live leader's InstallSnapshot.
   bool finish_dissolved(const WireMsg& notice);
 
   // --- observers -------------------------------------------------------
@@ -179,6 +180,9 @@ class RaftNode {
   /// Appends `m.entries` after a passed consistency check and advances the
   /// commit index over the prefix it verified.
   void append_verified(const WireMsg& m);
+  /// Replaces our log and state with the snapshot `m` carries (its index
+  /// and term in prev_log_index/prev_log_term).
+  void adopt_snapshot(const WireMsg& m);
   std::size_t quorum() const { return members_.size() / 2 + 1; }
 
   void handle_request_vote(NodeId src, const WireMsg& m);

@@ -80,6 +80,9 @@ void ReliableBroadcast::on_message(NodeId src, const raft::WireMsg& m) {
     // triggers the normal failure upcall. We may not hold that log: the
     // no-op can commit on a quorum that excludes us (we were campaigning
     // in a later term, say), so ask the peer for the entries we miss.
+    // A reply we no longer wait for belongs to an earlier incarnation of
+    // the group: the origin has rejoined since (add_member).
+    if (m.success && tail_requested_.erase(m.group) == 0) return;
     auto it = groups_.find(m.group);
     if (it != groups_.end() && !dissolved_.contains(m.group) &&
         !it->second->finish_dissolved(m)) {
@@ -87,6 +90,7 @@ void ReliableBroadcast::on_message(NodeId src, const raft::WireMsg& m) {
       req.group = m.group;
       req.type = raft::MsgType::kDissolvedTailRequest;
       req.leader_commit = it->second->commit_index();
+      tail_requested_.insert(m.group);
       cb_.send(src, req);
     }
     return;
@@ -132,6 +136,7 @@ void ReliableBroadcast::add_member(NodeId peer) {
   members_.push_back(peer);
   dissolved_.erase(peer);
   retired_.erase(peer);
+  tail_requested_.erase(peer);
   for (auto& [origin, node] : groups_) node->add_member(peer);
   // Create the joiner's own broadcast group on this node.
   if (!groups_.contains(peer)) {

@@ -94,6 +94,8 @@ class ReliableBroadcast final : public Broadcast {
   /// Dissolved groups, stopped but kept: their committed logs answer
   /// stragglers that missed the election no-op (see on_message).
   std::unordered_map<raft::GroupId, std::unique_ptr<raft::RaftNode>> retired_;
+  /// Groups we sent a kDissolvedTailRequest for and await a reply in.
+  std::unordered_set<raft::GroupId> tail_requested_;
   bool started_ = false;
 };
 

@@ -284,6 +284,8 @@ class ClockHandle {
   ClockHandle(Simulator& s) : sim_(&s), rt_(nullptr) {}
 
   Time now() const { return sim_ ? sim_->now() : rt_->now(); }
+  /// True on the threaded backend, whose now() is the wall clock.
+  bool wall_clock() const { return sim_ == nullptr; }
   void cancel(EventId id) const {
     if (sim_ != nullptr)
       sim_->cancel(id);

@@ -34,13 +34,6 @@ struct ClientConfig {
   double zipf_theta = 0.99;          ///< YCSB's default skew
   Time tick = 200 * kMicrosecond;    ///< arrival aggregation granularity
   Time stop_at = 0;                  ///< stop generating at this time
-  /// Stamp a tick's arrivals inside the tick that just ended instead of
-  /// the one it starts, so no request is sent before it arrives. The
-  /// wall-clock backend needs this: there a reply can come back within
-  /// half a tick, beat its future stamp and record a latency of 0. The
-  /// simulator keeps the in-tick stamps its seeded benches were measured
-  /// with.
-  bool arrivals_before_send = false;
 };
 
 class OpenLoopClient : public simnet::Process {
@@ -92,8 +85,13 @@ class OpenLoopClient : public simnet::Process {
       // One batch per target server; requests round-robin across servers
       // with a rotating offset so each server sees the full key/op mix.
       std::vector<kv::ClientBatch> batches(cfg_.servers.size());
+      // On the wall clock a tick's arrivals are stamped inside the tick
+      // that just ended, so no request is sent before it arrives: a reply
+      // can come back within half a tick, and a future stamp would record
+      // a latency of 0. The simulator keeps the in-tick stamps its seeded
+      // benches were measured with.
       const Time start =
-          cfg_.arrivals_before_send ? sim().now() - cfg_.tick : sim().now();
+          sim().wall_clock() ? sim().now() - cfg_.tick : sim().now();
       for (std::uint64_t i = 0; i < n; ++i) {
         kv::Request r;
         r.id = {node_id(), seq_++};

@@ -206,7 +206,6 @@ inline std::vector<std::unique_ptr<OpenLoopClient>> attach_clients(
     cc.key_dist = tc.key_dist;
     cc.zipf_theta = tc.zipf_theta;
     cc.stop_at = stop_at;
-    cc.arrivals_before_send = tc.runtime == RuntimeKind::kThreads;
     clients.push_back(
         std::make_unique<OpenLoopClient>(cc, recorder, seeder()));
     net.attach(cluster.clients[i], *clients.back());

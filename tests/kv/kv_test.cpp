@@ -291,6 +291,22 @@ TEST(StoreAllocation, RestoreSizesTheTableOnce) {
   EXPECT_EQ(dst.size(), img.size());
 }
 
+TEST(StoreAllocation, RestoreReusesATableOfTheSameCapacity) {
+  Store src;
+  for (std::uint64_t k = 0; k < 50000; ++k) src.apply(write_of(k, k + 1));
+  const StoreImage img = src.export_image();
+  Store dst;
+  for (std::uint64_t k = 0; k < 50000; ++k) dst.apply(write_of(k + 7, k));
+  dst.restore(img);  // sizes the table for the image: a new block
+  for (std::uint64_t k = 0; k < 50000; ++k) dst.apply(write_of(k + 9, 3));
+  const std::uint64_t before = canopus::bench::heap_allocations();
+  dst.restore(img);
+  EXPECT_EQ(canopus::bench::heap_allocations() - before, 0u);
+  EXPECT_EQ(dst.export_image(), img);
+  for (std::uint64_t k = 0; k < 50000; ++k) EXPECT_EQ(dst.read(k), k + 1);
+  EXPECT_EQ(dst.read(50000 + 8), 0u);  // written before the restore
+}
+
 TEST(CommitDigest, EqualForEqualSequences) {
   CommitDigest a, b;
   for (std::uint64_t i = 0; i < 10; ++i) {

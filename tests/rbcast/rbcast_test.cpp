@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -217,7 +218,7 @@ class Dissolution : public ::testing::Test {
         hp->rb->remove_member(failed);
       };
       h->rb = std::make_unique<ReliableBroadcast>(self, members, sim_,
-                                                  std::move(cb));
+                                                  std::move(cb), opt_);
       hosts_.push_back(std::move(h));
     }
     for (auto& h : hosts_) h->rb->start();
@@ -226,7 +227,8 @@ class Dissolution : public ::testing::Test {
   /// Runs the clock for `span` in 1 ms steps, delivering every message
   /// (and its consequences) after each step. A crashed origin neither
   /// sends nor receives; `isolate` drops group-kOrigin traffic between
-  /// kStraggler and everyone else.
+  /// kStraggler and everyone else; `hold_replies` stashes every answer to
+  /// a kDissolvedTailRequest in `held_`.
   void run(Time span) {
     const Time end = sim_.now() + span;
     while (sim_.now() < end) {
@@ -243,6 +245,11 @@ class Dissolution : public ::testing::Test {
               w.msg.type == raft::MsgType::kAppendEntries &&
               w.dst != kStraggler)
             continue;
+          if (hold_replies && w.msg.type == raft::MsgType::kGroupDissolved &&
+              w.msg.success) {
+            held_.push_back(w);
+            continue;
+          }
           hosts_[w.dst]->rb->on_message(w.src, w.msg);
         }
       }
@@ -261,11 +268,25 @@ class Dissolution : public ::testing::Test {
   }
 
   Simulator sim_{42};
+  raft::Options opt_;
   std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<Wire> wires_;
+  std::vector<Wire> held_;
   bool crashed_ = false;
   bool isolate = false;
   bool drop_append_to_others = false;
+  bool hold_replies = false;
+};
+
+// The same hand-off with groups that compact after a few entries, so the
+// survivors' logs no longer hold what the straggler misses.
+class CompactedDissolution : public Dissolution {
+ protected:
+  void SetUp() override {
+    opt_.compaction_threshold = 4;
+    opt_.compaction_keep = 2;
+    Dissolution::SetUp();
+  }
 };
 
 TEST_F(Dissolution, StragglerThatMissedTheNoopDetectsTheFailure) {
@@ -306,6 +327,71 @@ TEST_F(Dissolution, StragglerDropsItsUncommittedTail) {
   ASSERT_EQ(hosts_[kStraggler]->failures, std::vector<NodeId>{kOrigin});
   for (NodeId n : {0, 1, 2, 3})
     EXPECT_EQ(hosts_[n]->from_origin, std::vector<std::string>{"a"}) << n;
+}
+
+TEST_F(CompactedDissolution, StragglerBehindTheSnapshotInstallsIt) {
+  run(10 * kMillisecond);
+  hosts_[kOrigin]->rb->broadcast(std::string("a"), 1);
+  run(10 * kMillisecond);
+  // Ten more broadcasts commit and compact without the straggler.
+  isolate = true;
+  std::vector<std::string> sent = {"a"};
+  for (int i = 0; i < 10; ++i) {
+    sent.push_back("b" + std::to_string(i));
+    hosts_[kOrigin]->rb->broadcast(sent.back(), 2);
+    run(kMillisecond);
+  }
+  run(10 * kMillisecond);
+  crash_origin();
+  run(2 * kSecond);
+  ASSERT_TRUE(survivors_dissolved());
+  for (NodeId n : {0, 2, 3}) ASSERT_EQ(hosts_[n]->from_origin, sent) << n;
+
+  isolate = false;
+  run(2 * kSecond);
+  ASSERT_EQ(hosts_[kStraggler]->failures, std::vector<NodeId>{kOrigin});
+  EXPECT_FALSE(hosts_[kStraggler]->rb->is_member(kOrigin));
+  // As a live follower behind the compaction base would: the snapshot
+  // (empty, the group keeps no state of its own) covers the broadcasts it
+  // never held, and the committed tail after it is delivered in order.
+  const std::vector<std::string>& got = hosts_[kStraggler]->from_origin;
+  ASSERT_GE(got.size(), 1u);
+  ASSERT_LT(got.size(), sent.size());
+  EXPECT_EQ(got[0], "a");
+  EXPECT_TRUE(std::equal(got.begin() + 1, got.end(),
+                         sent.end() - static_cast<std::ptrdiff_t>(got.size() - 1)));
+}
+
+TEST_F(Dissolution, TailReplyFromBeforeARejoinIsIgnored) {
+  run(10 * kMillisecond);
+  hosts_[kOrigin]->rb->broadcast(std::string("a"), 1);
+  run(10 * kMillisecond);
+  crash_origin();
+  isolate = true;
+  run(2 * kSecond);
+  ASSERT_TRUE(survivors_dissolved());
+
+  // The straggler asks every survivor for the tail; hold the answers.
+  isolate = false;
+  hold_replies = true;
+  run(kSecond);
+  ASSERT_GE(held_.size(), 2u);
+  ASSERT_TRUE(hosts_[kStraggler]->failures.empty());
+  Host& straggler = *hosts_[kStraggler];
+  const auto deliver = [&](const Wire& w) {
+    straggler.rb->on_message(w.src, w.msg);
+    sim_.run_until(sim_.now() + kMillisecond);  // the deferred upcall
+  };
+  deliver(held_[0]);
+  ASSERT_EQ(straggler.failures, std::vector<NodeId>{kOrigin});
+
+  // The origin rejoins before the other answers arrive: they belong to
+  // the dissolved incarnation, not to the group add_member creates.
+  straggler.rb->add_member(kOrigin);
+  for (std::size_t i = 1; i < held_.size(); ++i) deliver(held_[i]);
+  EXPECT_EQ(straggler.failures, std::vector<NodeId>{kOrigin});
+  EXPECT_TRUE(straggler.rb->is_member(kOrigin));
+  EXPECT_EQ(straggler.from_origin, std::vector<std::string>{"a"});
 }
 
 }  // namespace
